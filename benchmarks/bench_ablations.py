@@ -9,11 +9,11 @@
 import numpy as np
 import pytest
 
-from repro.core.flowmodel import min_completion_time
+from repro.core.flowbatch import fast_min_completion_time
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import MomentOptimizer, OptimizerConfig
-from repro.core.placement import enumerate_placements
-from repro.core.symmetry import dedupe_placements
+from repro.core.placement import count_placements
+from repro.core.symmetry import iter_canonical_placements
 from repro.experiments.figures import _dataset
 from repro.hardware.machines import classic_layouts, machine_a
 from repro.runtime.spec import RunSpec
@@ -30,13 +30,15 @@ def machine():
 
 def test_symmetry_pruning(benchmark, machine, show, quick):
     """Orbit pruning shrinks the placement search space."""
-    full = enumerate_placements(machine.chassis, 4, 8)
-    unique = run_once(benchmark, dedupe_placements, full, machine.chassis)
-    print(
-        f"\nsymmetry pruning: {len(full)} candidates -> {len(unique)} "
-        f"({100 * (1 - len(unique) / len(full)):.0f}% pruned)"
+    raw = count_placements(machine.chassis, 4, 8)
+    unique = run_once(
+        benchmark, lambda: list(iter_canonical_placements(machine.chassis, 4, 8))
     )
-    assert len(unique) < len(full)
+    print(
+        f"\nsymmetry pruning: {raw} candidates -> {len(unique)} "
+        f"({100 * (1 - len(unique) / raw):.0f}% pruned)"
+    )
+    assert len(unique) < raw
 
 
 def test_hotness_estimators(benchmark, machine, quick):
@@ -68,7 +70,7 @@ def test_predictor_variants(benchmark, machine, quick, show):
 
     lp = run_once(benchmark, multicommodity_min_time, topo, epoch.demand)
     lp_pred = epoch.demand.total / lp.time
-    sc = min_completion_time(topo, epoch.demand)
+    sc = fast_min_completion_time(topo, epoch.demand)
     sc_pred = epoch.demand.total / sc.time
 
     err_lp = abs(lp_pred - measured) / measured

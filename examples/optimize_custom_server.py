@@ -9,11 +9,12 @@ SSD should go in* before you rack the machine.  This example:
 2. profiles its link bandwidths through the simulator;
 3. enumerates placements (with symmetry pruning), scores them with the
    max-flow model, and prints the top recommendations;
-4. shows the DDAK embedding layout for the winner.
+4. runs the winner and shows the DDAK embedding layout it simulated.
 
 Run:  python examples/optimize_custom_server.py
 """
 
+from repro import MomentSystem, RunSpec, run
 from repro.core.optimizer import MomentOptimizer, OptimizerConfig
 from repro.graphs.datasets import PAPER100M
 from repro.hardware.machines import MachineSpec
@@ -64,10 +65,8 @@ def main() -> None:
 
     print("\n=== 3. search placements for 3 GPUs + 6 SSDs ===")
     dataset = PAPER100M.build(scale=PAPER100M.default_scale * 16, seed=1)
-    optimizer = MomentOptimizer(
-        machine, num_gpus=3, num_ssds=6,
-        config=OptimizerConfig(report_top_k=5),
-    )
+    config = OptimizerConfig(report_top_k=5)
+    optimizer = MomentOptimizer(machine, num_gpus=3, num_ssds=6, config=config)
     plan = optimizer.optimize(dataset)
     print(plan.summary())
     print("\n  top candidates:")
@@ -77,9 +76,19 @@ def main() -> None:
         )
 
     print("\n=== 4. DDAK embedding layout for the winner ===")
-    occ = plan.data_placement.occupancy(dataset.feature_bytes)
+    result = run(
+        MomentSystem(machine, optimizer_config=config),
+        RunSpec(
+            dataset=dataset,
+            placement=plan.placement,
+            num_gpus=3,
+            num_ssds=6,
+            sample_batches=2,
+        ),
+    )
+    occ = result.data_placement.occupancy(dataset.feature_bytes)
     for name, frac in sorted(occ.items()):
-        count = plan.data_placement.vertices_in(name).size
+        count = result.data_placement.vertices_in(name).size
         print(f"  {name:<10} {count:>8,} vertices  ({frac:.0%} full)")
 
 

@@ -5,10 +5,9 @@ Three steps:
 1. build a small synthetic power-law graph and *actually train* a
    NumPy GraphSAGE on it (node classification, the paper's task);
 2. run Moment's automatic module on Machine A — enumerate hardware
-   placements, prune symmetries, score with max flow, place data with
-   DDAK;
-3. simulate one training epoch on the optimized machine and print
-   where the time goes.
+   placements, prune symmetries, score with max flow;
+3. run the chosen plan: place data with DDAK, simulate one training
+   epoch, and print where the data and the time go.
 
 Run:  python examples/quickstart.py
 """
@@ -52,16 +51,19 @@ def main() -> None:
     optimizer = MomentOptimizer(machine, num_gpus=4, num_ssds=8)
     plan = optimizer.optimize(ds)
     print(plan.summary())
-    occupancy = plan.data_placement.occupancy(ds.feature_bytes)
+
+    # ------------------------------------------------------------------
+    # 3. place data and simulate an epoch on the chosen placement
+    # ------------------------------------------------------------------
+    print("\n=== 3. simulated epoch on the chosen placement ===")
+    result = run(
+        MomentSystem(machine),
+        RunSpec(dataset=ds, placement=plan.placement, sample_batches=5),
+    )
+    occupancy = result.data_placement.occupancy(ds.feature_bytes)
     hottest = sorted(occupancy.items(), key=lambda kv: -kv[1])[:4]
     print("  fullest bins:",
           ", ".join(f"{name}={frac:.0%}" for name, frac in hottest))
-
-    # ------------------------------------------------------------------
-    # 3. simulate an epoch on the optimized machine
-    # ------------------------------------------------------------------
-    print("\n=== 3. simulated epoch on the chosen placement ===")
-    result = run(MomentSystem(machine), RunSpec(dataset=ds, sample_batches=5))
     epoch = result.epoch
     print(f"  epoch time:        {epoch.paper_epoch_seconds * 1e3:.1f} ms "
           f"({epoch.num_steps} steps)")

@@ -13,7 +13,7 @@ produced comes back as a :class:`~repro.runtime.system.SystemResult`
 
 from __future__ import annotations
 
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import RunSpec, require_spec
 from repro.runtime.system import GnnSystem, SystemResult
 
 __all__ = ["run", "system_for", "RunSpec", "SystemResult"]
@@ -21,12 +21,7 @@ __all__ = ["run", "system_for", "RunSpec", "SystemResult"]
 
 def run(system: GnnSystem, spec: RunSpec) -> SystemResult:
     """Run one epoch of ``system`` as described by ``spec``."""
-    if not isinstance(spec, RunSpec):
-        raise TypeError(
-            f"repro.api.run takes a RunSpec, got {type(spec).__name__}; "
-            "the legacy kwargs form lives on GnnSystem.run"
-        )
-    return system.run(spec)
+    return system.run(require_spec(spec, "repro.api.run"))
 
 
 def system_for(spec: RunSpec, system_cls=None, **kwargs) -> GnnSystem:

@@ -2,24 +2,14 @@
 placement search with symmetry pruning, and DDAK data placement."""
 
 from repro.core.topology import LinkKind, Node, NodeKind, Link, Topology
-from repro.core.maxflow import (
-    FlowNetwork,
-    bisect_min_time,
-    dinic,
-    edmonds_karp,
-    max_flow,
-    min_cut,
-)
 from repro.core.placement import (
     Chassis,
     Placement,
     SlotGroup,
     build_topology,
-    enumerate_placements,
 )
 from repro.core.symmetry import (
     chassis_automorphisms,
-    dedupe_placements,
     slot_group_symmetries,
 )
 from repro.core.flowmodel import (
@@ -27,10 +17,8 @@ from repro.core.flowmodel import (
     SSD_CLASS,
     FlowPrediction,
     TrafficDemand,
-    min_completion_time,
-    plain_max_flow,
-    predict_throughput,
 )
+from repro.core.flowbatch import fast_min_completion_time
 
 __all__ = [
     "LinkKind",
@@ -38,25 +26,15 @@ __all__ = [
     "NodeKind",
     "Link",
     "Topology",
-    "FlowNetwork",
-    "bisect_min_time",
-    "dinic",
-    "edmonds_karp",
-    "max_flow",
-    "min_cut",
     "Chassis",
     "Placement",
     "SlotGroup",
     "build_topology",
-    "enumerate_placements",
     "chassis_automorphisms",
-    "dedupe_placements",
     "slot_group_symmetries",
     "CPU_CLASS",
     "SSD_CLASS",
     "FlowPrediction",
     "TrafficDemand",
-    "min_completion_time",
-    "plain_max_flow",
-    "predict_throughput",
+    "fast_min_completion_time",
 ]

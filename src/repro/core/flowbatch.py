@@ -1,11 +1,12 @@
-"""Vectorized pass-1 kernel: cut-parametric min-time search over
-template networks (the fast path behind ``FlexibleMaxFlowScorer``).
+"""The package's max-flow kernel: cut-parametric min-time search over
+template networks (behind ``FlexibleMaxFlowScorer`` and replanning).
 
-The legacy kernel (:func:`repro.core.flowmodel.min_completion_time`)
+The bisection reference (``min_completion_time`` in
+``tests/reference/flowmodel.py``, kept as the differential-test oracle)
 rebuilds the augmented network for every time probe and bisects ~20
 times per candidate.  This module keeps the exact same network — same
-nodes, same edges, same insertion order as
-:func:`~repro.core.flowmodel.build_time_network` — but splits every
+nodes, same edges, same insertion order as the reference's
+``build_time_network`` — but splits every
 edge budget into ``base + rate * t`` (constant bytes + bytes/s scaled
 by the probed time), so
 
@@ -51,10 +52,15 @@ from repro.core.flowmodel import (
     TrafficDemand,
     _storage_members,
 )
-from repro.core.maxflow import _EPS, _MIN_DEMAND
 from repro.core.topology import LinkKind, NodeKind, Topology
 
-#: Feasibility slack.  Much stricter than the legacy kernel's 1e-6:
+#: Residual capacities at or below this are treated as saturated.
+_EPS = 1e-9
+#: Demands below this many bytes are treated as zero: sub-microbyte
+#: quantities are residues of float arithmetic, and the residual-graph
+#: epsilon would otherwise misclassify them as unroutable.
+_MIN_DEMAND = 1e-6
+#: Feasibility slack.  Much stricter than the bisection reference's 1e-6:
 #: bisection probes land anywhere in a segment, but cut-root probes
 #: land exactly on breakpoints, where the max flow matches the binding
 #: cut's value to float accumulation error (~1e-14 relative).  A loose
@@ -62,7 +68,7 @@ from repro.core.topology import LinkKind, NodeKind, Topology
 #: answer depend on the probe path (warm vs cold) — with 1e-12 both
 #: paths terminate at the binding cut's root.
 _FEAS_TOL = 1e-12
-#: Ceiling on the completion time, matching ``bisect_min_time``'s
+#: Ceiling on the completion time, matching the bisection reference's
 #: ``t_hi`` — a root beyond this means the demand is disconnected.
 _T_HI = 1e6
 #: Cut-root iterations before giving up (each one strictly advances the
@@ -75,7 +81,7 @@ _MAX_ITERS = 64
 class FlowTemplate:
     """One candidate's time-parametric augmented network.
 
-    Mirrors :func:`~repro.core.flowmodel.build_time_network` exactly —
+    Mirrors the reference ``build_time_network`` exactly —
     node splitting, GPU-cache fabric-egress caps, the QPI P2P ceiling,
     class super-nodes, virtual source/sink edges — but stores each edge
     as ``(base_bytes, rate_bytes_per_s)`` so the capacity vector at any
@@ -386,8 +392,10 @@ def fast_min_completion_time(
     demand: TrafficDemand,
     warm_partition: Optional[Iterable[str]] = None,
 ) -> FlowPrediction:
-    """Drop-in fast replacement for
-    :func:`repro.core.flowmodel.min_completion_time`.
+    """Minimum time to route ``demand`` on ``topo``; the placement score.
+
+    Also extracts per-storage-node flows at the optimum (the DDAK
+    ``Bin_traffic`` targets) and the saturated links (bottlenecks).
 
     Returns the exact minimum completion time (no bisection slack); a
     ``warm_partition`` from a previously scored neighbor/healthy fabric

@@ -10,22 +10,30 @@ Pipeline, run once per (machine, device pool, dataset):
 4. **Score** — each candidate topology gets the time-bisection max-flow
    treatment on a demand built from the tier fractions (per-GPU demand
    is even: data-parallel training); highest predicted throughput wins;
-5. **DDAK** — the winner's per-storage-node optimal flows become the
+5. **DDAK** — the winner's per-storage-node optimal flows
+   (:attr:`MomentPlan.prediction`'s ``storage_rate``) become the
    ``Bin_traffic`` targets for the data-distribution-aware knapsack.
+   DDAK runs once per run, when the system places data
+   (:meth:`repro.runtime.system.GnnSystem.place_data`) against the
+   run's HBM-ledger cache budget; the optimizer itself places no data.
 
 The result is a :class:`MomentPlan`: hardware placement + topology +
-data placement + prediction, ready for the epoch simulator or reports.
+prediction, ready for the epoch simulator or reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.ddak import DataPlacement, ddak_place, make_bins
+
+# perfbench's layer probe (perfbench/momentbench/layers.py) wraps
+# ``ddak_place`` by attribute in this module; the name stays until the
+# benchmark drops that target.
+from repro.core.ddak import ddak_place  # noqa: F401
 from repro.core.flowmodel import FlowPrediction
 from repro.core.mcmf import McfPrediction
 from repro.core.placement import Placement
@@ -151,8 +159,9 @@ class MomentPlan:
 
     placement: Placement
     topology: Topology
-    data_placement: DataPlacement
     prediction: FlowPrediction
+    #: (GPU, CPU, SSD) traffic fractions — what the search scored
+    #: against (from the optimizer's own cache budgets).
     fractions: Tuple[float, float, float]
     hotness: np.ndarray
     #: All candidates scored, best first.
@@ -355,10 +364,11 @@ class MomentOptimizer:
         hotness: np.ndarray,
         candidates: Optional[Sequence[Placement]] = None,
     ) -> SearchResult:
-        """Run only the hardware-placement search (no DDAK).
+        """Run only the hardware-placement search.
 
-        Multi-node and experiment drivers use this when they place data
-        globally themselves; :meth:`optimize` builds on the same path.
+        The multi-node co-optimizer and the experiments use this when
+        they need the raw :class:`SearchResult`; :meth:`optimize` builds
+        on the same path.
         """
         fractions, _ = self.plan_fractions(dataset, hotness)
         return run_search(self.search_request(fractions, candidates))
@@ -376,8 +386,9 @@ class MomentOptimizer:
 
         The placement search itself is delegated to
         :mod:`repro.core.search` — this method only prepares the request
-        (hotness, capacities, tier fractions) and post-processes the
-        winner (DDAK data placement).
+        (hotness, capacities, tier fractions) and builds the winner's
+        topology.  It places no data: the run that simulates the plan
+        does (:attr:`repro.runtime.system.SystemResult.data_placement`).
 
         Search time comes from the ``optimizer.optimize`` obs span —
         :attr:`MomentPlan.optimize_seconds` is its duration (spans
@@ -394,36 +405,19 @@ class MomentOptimizer:
             if hotness is None:
                 with obs.span("optimizer.hotness"):
                     hotness = self.estimate_hotness(dataset)
-            fractions, plan = self.plan_fractions(dataset, hotness)
+            fractions, _ = self.plan_fractions(dataset, hotness)
             result = run_search(self.search_request(fractions, candidates))
             obs.add("optimizer.candidates", result.num_candidates)
             obs.add("optimizer.unique", result.num_unique)
             best = result.best
-
             topo = self.machine.build(
                 best.placement, nvlink_pairs=cfg.nvlink_pairs
             )
-            with obs.span("optimizer.ddak", pool_size=cfg.ddak_pool_size):
-                bins = make_bins(
-                    topo,
-                    gpu_cache_bytes=plan.gpu_cache_bytes,
-                    cpu_cache_bytes=plan.cpu_cache_bytes,
-                    ssd_capacity_bytes=plan.ssd_capacity_bytes,
-                    traffic=best.prediction.storage_rate,
-                    gpu_cache_policy=cfg.gpu_cache_policy,
-                )
-                data_placement = ddak_place(
-                    bins,
-                    hotness,
-                    dataset.feature_bytes,
-                    pool_size=cfg.ddak_pool_size,
-                )
             root.set(throughput=best.throughput)
         obs.observe("optimizer.optimize_seconds", root.duration)
         return MomentPlan(
             placement=best.placement,
             topology=topo,
-            data_placement=data_placement,
             prediction=best.prediction,
             fractions=fractions,
             hotness=hotness,

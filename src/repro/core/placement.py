@@ -409,17 +409,9 @@ def iter_placements(
             yield Placement(chassis, counts)
 
 
-def enumerate_placements(
-    chassis: Chassis,
-    num_gpus: int,
-    num_ssds: int,
-) -> List[Placement]:
-    """All feasible placements, materialised (see :func:`iter_placements`)."""
-    return list(iter_placements(chassis, num_gpus, num_ssds))
-
-
 def count_placements(chassis: Chassis, num_gpus: int, num_ssds: int) -> int:
-    """``len(enumerate_placements(...))`` without enumerating.
+    """The number of placements :func:`iter_placements` yields, without
+    enumerating them.
 
     Dynamic program over slot groups with state (GPUs seated, SSDs
     seated), mirroring the bounded compositions of

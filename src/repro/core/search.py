@@ -301,8 +301,8 @@ class EnumeratedSource:
     Streams :func:`repro.core.symmetry.iter_canonical_placements`: one
     representative per symmetry orbit, produced directly (the rejected
     orbit members are never constructed, unlike the historical
-    enumerate-then-:class:`~repro.core.symmetry.CanonicalFilter`
-    pipeline this replaces).  The yielded key is the representative's
+    enumerate-then-filter pipeline this replaces, kept as a test oracle
+    in ``tests/reference/symmetry.py``).  The yielded key is the representative's
     own count tuple — under the direct scheme the representative *is*
     the orbit's enumeration-order minimum, so its tuple is already a
     unique orbit id.
@@ -405,9 +405,9 @@ class FlexibleMaxFlowScorer:
     Solved by the vectorized cut-parametric kernel
     (:mod:`repro.core.flowbatch`), which returns the *exact* breakpoint
     time — no bisection, no tolerance.  ``rel_tol`` is kept for API
-    compatibility with the legacy bisection path
-    (:func:`repro.core.flowmodel.min_completion_time`, retained as the
-    differential-test reference) but is unused here.
+    compatibility with the bisection path (``min_completion_time`` in
+    ``tests/reference/flowmodel.py``, the differential-test oracle) but
+    is unused here.
     """
 
     fractions: Tuple[float, float, float]

@@ -32,8 +32,6 @@ from repro.baselines.mhyperion import MHyperionSystem
 from repro.core.ddak import hash_place, make_bins
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import MomentOptimizer, OptimizerConfig
-from repro.core.placement import enumerate_placements
-from repro.core.symmetry import dedupe_placements
 from repro.costs.monetary import cloud_cost_ratio, tco_comparison
 from repro.graphs.datasets import DATASETS, DatasetSpec, ScaledDataset, get_dataset
 from repro.hardware.machines import (

@@ -21,8 +21,9 @@ hardware layer data-driven:
 The compiler's lowering order is deliberately pinned (see
 :func:`compile_fabric`) so that :func:`machine_a_spec` /
 :func:`machine_b_spec` compile to chassis *identical* to the legacy
-constructors — node for node, link for link — which is asserted by
-test against :func:`topology_fingerprint`.
+constructors (kept in ``tests/reference/machines.py``) — node for node,
+link for link — which is asserted by test against
+:func:`topology_fingerprint`.
 """
 
 from __future__ import annotations

@@ -18,34 +18,23 @@ placements, and :func:`classic_layouts` returns them in paper order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.placement import (
     Chassis,
     GPU,
     Placement,
     SSD,
-    SlotGroup,
     build_topology,
 )
-from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.core.topology import Topology
 from repro.hardware.specs import (
-    A100_40GB,
-    CPU_MEM_BW,
     GpuSpec,
-    NIC_100G_BW,
-    P5510,
-    PCIE3_X16,
-    PCIE4_X16,
-    PCIE4_X4,
-    QPI_BW,
     SsdSpec,
     XEON_GOLD_5320,
     XEON_GOLD_6426Y,
-    XEON_SILVER_4214,
     CpuSpec,
 )
-from repro.utils.units import GiB
 
 
 @dataclass(frozen=True)
@@ -102,96 +91,29 @@ class MachineSpec:
         return self.cpu.mem_bytes * self.num_sockets
 
 
-def _two_socket_skeleton(chassis: Chassis, cpu: CpuSpec) -> None:
-    """Common dual-socket base: two root complexes, QPI, two DRAM banks."""
-    chassis.add_interconnect("rc0", NodeKind.ROOT_COMPLEX)
-    chassis.add_interconnect("rc1", NodeKind.ROOT_COMPLEX)
-    chassis.add_trunk("rc0", "rc1", QPI_BW, LinkKind.QPI, "qpi")
-    chassis.add_memory("mem0", "rc0", cpu.mem_bytes, cpu.mem_bw)
-    chassis.add_memory("mem1", "rc1", cpu.mem_bytes, cpu.mem_bw)
-
-
 def machine_a(cpu: CpuSpec = XEON_GOLD_5320) -> MachineSpec:
     """Machine A: balanced topology (Figure 1).
 
     Compiled from its declarative spec
-    (:func:`repro.hardware.fabric.machine_a_spec`); the hand-built
-    :func:`_legacy_machine_a` is kept as the equality oracle for the
-    compiler tests.
+    (:func:`repro.hardware.fabric.machine_a_spec`); the original
+    hand-built construction is kept under ``tests/reference/`` as the
+    equality oracle for the compiler tests.
     """
     from repro.hardware.fabric import compile_fabric, machine_a_spec
 
     return compile_fabric(machine_a_spec(cpu))
 
 
-def _legacy_machine_a(cpu: CpuSpec = XEON_GOLD_5320) -> MachineSpec:
-    """Machine A via the original imperative construction path."""
-    ch = Chassis("machine_a")
-    _two_socket_skeleton(ch, cpu)
-    ch.add_interconnect("plx0", NodeKind.SWITCH)
-    ch.add_interconnect("plx1", NodeKind.SWITCH)
-    ch.add_trunk("rc0", "plx0", PCIE4_X16, LinkKind.PCIE, "bus9")
-    ch.add_trunk("rc1", "plx1", PCIE4_X16, LinkKind.PCIE, "bus10")
-    # Four direct NVMe bays per socket (buses 1-4 on the left in Fig 1b).
-    ch.add_slot_group(
-        SlotGroup("rc0.bays", "rc0", 4, PCIE4_X4, frozenset({SSD}), "bus1-4")
-    )
-    ch.add_slot_group(
-        SlotGroup("rc1.bays", "rc1", 4, PCIE4_X4, frozenset({SSD}), "bus5-8")
-    )
-    # Twelve slot units per switch: up to 4 dual-width GPUs plus SSDs.
-    ch.add_slot_group(
-        SlotGroup("plx0.slots", "plx0", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus12-15")
-    )
-    ch.add_slot_group(
-        SlotGroup("plx1.slots", "plx1", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus17-20")
-    )
-    ch.validate()
-    return MachineSpec("machine_a", ch, cpu, A100_40GB, P5510)
-
-
 def machine_b(cpu: CpuSpec = XEON_GOLD_6426Y) -> MachineSpec:
     """Machine B: cascaded topology (Figure 2; Fig 7 for Moment's layout).
 
     Compiled from :func:`repro.hardware.fabric.machine_b_spec`; the
-    hand-built :func:`_legacy_machine_b` remains the equality oracle.
+    original hand-built construction (``tests/reference/``) remains the
+    equality oracle.
     """
     from repro.hardware.fabric import compile_fabric, machine_b_spec
 
     return compile_fabric(machine_b_spec(cpu))
-
-
-def _legacy_machine_b(cpu: CpuSpec = XEON_GOLD_6426Y) -> MachineSpec:
-    """Machine B via the original imperative construction path."""
-    ch = Chassis("machine_b")
-    _two_socket_skeleton(ch, cpu)
-    ch.add_interconnect("plx0", NodeKind.SWITCH)
-    ch.add_interconnect("plx1", NodeKind.SWITCH)
-    ch.add_trunk("rc0", "plx0", PCIE4_X16, LinkKind.PCIE, "bus11")
-    ch.add_trunk("plx0", "plx1", PCIE4_X16, LinkKind.PCIE, "bus16")
-    # Direct x16 slots on both sockets (used by Moment's Fig-7 layout).
-    ch.add_slot_group(
-        SlotGroup("rc0.x16", "rc0", 2, PCIE4_X16, frozenset({GPU}), "bus10")
-    )
-    ch.add_slot_group(
-        SlotGroup("rc1.x16", "rc1", 2, PCIE4_X16, frozenset({GPU}), "bus19")
-    )
-    # NVMe bays: four per socket ("SSD prioritizes the front board").
-    ch.add_slot_group(
-        SlotGroup("rc0.bays", "rc0", 4, PCIE4_X4, frozenset({SSD}), "bus1-4")
-    )
-    ch.add_slot_group(
-        SlotGroup("rc1.bays", "rc1", 4, PCIE4_X4, frozenset({SSD}), "bus5-8")
-    )
-    # Cascaded switches, twelve slot units each.
-    ch.add_slot_group(
-        SlotGroup("plx0.slots", "plx0", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus12-15")
-    )
-    ch.add_slot_group(
-        SlotGroup("plx1.slots", "plx1", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus17-18")
-    )
-    ch.validate()
-    return MachineSpec("machine_b", ch, cpu, A100_40GB, P5510)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,13 @@
-"""The unified run specification (:class:`RunSpec`).
+"""The run specification (:class:`RunSpec`): the one argument every
+system's ``run`` takes.
 
-``GnnSystem.run`` historically took 8 loose keyword arguments; every
-new capability (fault schedules, replanning) would have widened that
-signature further at a dozen call sites.  A :class:`RunSpec` bundles
-the complete description of one run into a single frozen value:
+A :class:`RunSpec` bundles the complete description of one run into a
+single frozen value, so new capabilities (fault schedules, replanning)
+add a field rather than widen every ``run`` signature:
 
 >>> spec = RunSpec(dataset=ds, placement=layout, sample_batches=6)
 >>> result = system.run(spec)
 >>> result = system.run(spec.replace(faults=schedule, replan=True))
-
-The old kwargs form still works through a deprecation shim on
-``GnnSystem.run`` and produces identical results.
 """
 
 from __future__ import annotations
@@ -177,3 +174,14 @@ class RunSpec:
         return self.replace(
             repetition=repetition, seed=derive_seed(base, repetition)
         )
+
+
+def require_spec(spec, caller: str) -> RunSpec:
+    """``spec`` if it is a :class:`RunSpec`, else a :class:`TypeError`
+    naming ``caller`` and the form it takes."""
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            f"{caller} takes a repro.RunSpec, got {type(spec).__name__}; "
+            "wrap the dataset and options: RunSpec(dataset=ds, ...)"
+        )
+    return spec

@@ -11,14 +11,13 @@ placement it runs on.  :meth:`GnnSystem.run` returns a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.ddak import DataPlacement, ddak_place, hash_place, make_bins
+from repro.core.ddak import DataPlacement, ddak_place, make_bins
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
@@ -39,7 +38,6 @@ from repro.simulator.memory import (
     MemoryLedger,
     OutOfMemoryError,
     activation_bytes,
-    bam_page_cache_metadata_bytes,
     io_buffer_bytes,
 )
 from repro.simulator.pipeline import EpochResult, EpochSimulator, SimConfig
@@ -47,9 +45,8 @@ from repro.simulator.routing import reconcile_storage_rates
 from repro.simulator.traffic import TrafficAccount
 from repro.core.flowmodel import TrafficDemand
 from repro.runtime.replan import ReplanPolicy
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import RunSpec, require_spec
 from repro.utils.rng import SeedLike
-from repro.utils.units import GiB
 
 #: Versioned schema tag for :meth:`SystemResult.to_dict` records.
 RUN_RECORD_SCHEMA = "repro.run/v1"
@@ -403,39 +400,21 @@ class GnnSystem:
         return placement, None
 
     # -- main entry point --------------------------------------------------
-    def run(self, spec=None, **kwargs) -> SystemResult:
+    def run(self, spec: RunSpec) -> SystemResult:
         """Budget memory, place data, and simulate one epoch.
 
-        The canonical form takes one :class:`~repro.runtime.spec.RunSpec`::
+        Takes one :class:`~repro.runtime.spec.RunSpec`::
 
             system.run(RunSpec(dataset=ds, sample_batches=6))
 
-        The historical loose-kwargs form
-        (``system.run(ds, placement=..., num_gpus=4, ...)``) still works
-        — it builds the equivalent ``RunSpec`` and emits a
-        ``DeprecationWarning`` — and produces identical results.
+        Anything else raises :class:`TypeError`.
 
         With telemetry enabled (:func:`repro.obs.enable` /
         :func:`~repro.obs.capture`), the run executes inside a
         ``system.run`` span and the result's :attr:`SystemResult.telemetry`
         carries the spans and metric deltas it produced.
         """
-        if not isinstance(spec, RunSpec):
-            if spec is not None:
-                kwargs["dataset"] = spec
-            warnings.warn(
-                "GnnSystem.run(dataset, **kwargs) is deprecated and will "
-                "be removed in 2.0; pass a repro.RunSpec instead "
-                "(identical results)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            spec = RunSpec(**kwargs)
-        elif kwargs:
-            raise TypeError(
-                "pass either a RunSpec or legacy kwargs, not both: "
-                f"{sorted(kwargs)}"
-            )
+        require_spec(spec, f"{type(self).__name__}.run")
         scope = obs.scope()
         with obs.span(
             "system.run",
@@ -577,6 +556,7 @@ class GnnSystem:
                     dataset.feature_bytes,
                     cap_plan,
                     num_gpus,
+                    num_banks=len(self.machine.chassis.memories),
                     gpu_cache_policy=self.gpu_cache_policy,
                 )
             policy = ReplanPolicy(
@@ -629,13 +609,24 @@ class MomentSystem(GnnSystem):
         plan = optimizer.optimize(dataset, candidates=candidates)
         return plan.placement, plan
 
+    @property
+    def gpu_cache_policy(self) -> str:
+        """The GPU-cache policy the optimizer searches with; DDAK and
+        replanning lay out the bins the same way."""
+        return (self.optimizer_config or OptimizerConfig()).gpu_cache_policy
+
     def place_data(self, topo, dataset, hotness, plan, traffic=None):
-        """Produce the vertex-to-bin data placement for this system."""
+        """DDAK on the plan's (reconciled) per-storage rates: the run's
+        one data placement."""
+        cfg = self.optimizer_config or OptimizerConfig()
         bins = make_bins(
             topo,
             gpu_cache_bytes=plan.gpu_cache_bytes,
             cpu_cache_bytes=plan.cpu_cache_bytes,
             ssd_capacity_bytes=plan.ssd_capacity_bytes,
             traffic=traffic,
+            gpu_cache_policy=cfg.gpu_cache_policy,
         )
-        return ddak_place(bins, hotness, dataset.feature_bytes)
+        return ddak_place(
+            bins, hotness, dataset.feature_bytes, pool_size=cfg.ddak_pool_size
+        )

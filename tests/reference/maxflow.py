@@ -1,6 +1,7 @@
-"""Maximum-flow solvers (paper Section 3.2, "Problem Solving").
+"""Reference maximum-flow solvers (paper Section 3.2, "Problem Solving").
 
-Implements the classic algorithms from scratch on a compact adjacency
+Test oracle for the vectorized kernel in :mod:`repro.core.flowbatch`:
+the classic algorithms, written from scratch on a compact adjacency
 representation:
 
 * :class:`FlowNetwork` — residual-graph container with parallel-edge
@@ -20,14 +21,11 @@ used when checking saturation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+from repro.core.flowbatch import _EPS, _MIN_DEMAND
 
 INF = float("inf")
-_EPS = 1e-9
-#: Demands below this many bytes are treated as zero: sub-microbyte
-#: quantities are residues of float arithmetic, and the residual-graph
-#: epsilon would otherwise misclassify them as unroutable.
-_MIN_DEMAND = 1e-6
 
 
 class FlowNetwork:

@@ -145,10 +145,11 @@ class TestMultiNodeMoment:
 
     def test_more_nodes_more_throughput(self, machine, dataset, plan):
         """Two nodes (4 GPUs, 8 SSDs) beat one node (2 GPUs, 4 SSDs)."""
+        from repro.runtime.spec import RunSpec
         from repro.runtime.system import MomentSystem
 
         single = MomentSystem(machine).run(
-            dataset, num_gpus=2, num_ssds=4, sample_batches=2
+            RunSpec(dataset=dataset, num_gpus=2, num_ssds=4, sample_batches=2)
         )
         sim = EpochSimulator(
             plan.topology,

@@ -29,13 +29,7 @@ from repro.hardware.generate import (
     is_asymmetric,
     ssd_slot_capacity,
 )
-from repro.hardware.machines import (
-    _legacy_machine_a,
-    _legacy_machine_b,
-    classic_layouts,
-    machine_a,
-    machine_b,
-)
+from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.hardware.registry import get_machine, list_machines
 from repro.obs.metrics import parse_key
 from repro.runtime.spec import RunSpec
@@ -45,6 +39,7 @@ from repro.simulator.routing import (
     fair_storage_rates,
     reconcile_storage_rates,
 )
+from tests.reference.machines import _legacy_machine_a, _legacy_machine_b
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

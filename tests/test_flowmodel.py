@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.core.flowmodel import (
-    CPU_CLASS,
-    SSD_CLASS,
-    TrafficDemand,
+from repro.core.flowmodel import CPU_CLASS, SSD_CLASS, TrafficDemand
+from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.hardware.machines import classic_layouts, machine_a
+from repro.utils.units import GB
+from tests.reference.flowmodel import (
     build_time_network,
     min_completion_time,
     plain_max_flow,
     predict_throughput,
 )
-from repro.core.maxflow import dinic
-from repro.core.topology import LinkKind, NodeKind, Topology
-from repro.hardware.machines import classic_layouts, machine_a
-from repro.utils.units import GB
+from tests.reference.maxflow import dinic
 
 
 def linear_topo() -> Topology:

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.flowmodel import TrafficDemand, min_completion_time
+from repro.core.flowmodel import TrafficDemand
 from repro.core.optimizer import MomentOptimizer, capacity_plan, tier_fractions
 from repro.core.placement import GPU, Placement, SSD
 from repro.core.symmetry import slot_group_symmetries
 from repro.graphs.datasets import IGB_HOM
 from repro.hardware.machines import classic_layouts, machine_a
+from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem
+from tests.reference.flowmodel import min_completion_time
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def moment_result(machine, dataset):
     return MomentSystem(machine).run(
-        dataset, num_gpus=2, num_ssds=4, sample_batches=3
+        RunSpec(dataset=dataset, num_gpus=2, num_ssds=4, sample_batches=3)
     )
 
 
@@ -115,11 +117,13 @@ class TestEndToEndStory:
 
     def test_moment_vs_contended_layout(self, machine, dataset, moment_result):
         contended = MomentSystem(machine).run(
-            dataset,
-            placement=classic_layouts(machine, num_gpus=2, num_ssds=4)["b"],
-            num_gpus=2,
-            num_ssds=4,
-            sample_batches=3,
+            RunSpec(
+                dataset=dataset,
+                placement=classic_layouts(machine, num_gpus=2, num_ssds=4)["b"],
+                num_gpus=2,
+                num_ssds=4,
+                sample_batches=3,
+            )
         )
         assert moment_result.seeds_per_s > contended.seeds_per_s
 
@@ -129,7 +133,7 @@ class TestProperties:
     @settings(max_examples=10, deadline=None)
     def test_enumeration_counts_consistent(self, n_gpu, n_ssd):
         """Enumerated placements always carry the requested device pool."""
-        from repro.core.placement import enumerate_placements
+        from tests.reference.placement import enumerate_placements
 
         chassis = machine_a().chassis
         for p in enumerate_placements(chassis, n_gpu, n_ssd):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.flowmodel import plain_max_flow
 from repro.core.placement import GPU, SSD
 from repro.hardware.machines import (
     classic_layouts,
@@ -12,6 +11,7 @@ from repro.hardware.machines import (
     moment_paper_layout_b,
 )
 from repro.utils.units import GB, GiB
+from tests.reference.flowmodel import plain_max_flow
 
 
 class TestMachineA:

@@ -395,9 +395,10 @@ class TestSimulatorTelemetry:
         assert len(root) == 1
         assert plan.optimize_seconds == pytest.approx(root[0].duration)
         names = {s.name for s in tel.tracer.spans}
-        # the scoring passes now run inside the search engine's spans
-        assert {"search.run", "search.pass1", "search.pass2",
-                "optimizer.ddak"} <= names
+        # the scoring passes now run inside the search engine's spans;
+        # data placement belongs to the run, not the optimizer
+        assert {"search.run", "search.pass1", "search.pass2"} <= names
+        assert "optimizer.ddak" not in names
         assert tel.registry.counter("optimizer.unique").value == \
             plan.num_unique
         assert tel.registry.counter("search.unique").value == \
@@ -407,6 +408,7 @@ class TestSimulatorTelemetry:
         assert plan2.optimize_seconds > 0
 
     def test_system_result_carries_scoped_telemetry(self):
+        from repro.runtime.spec import RunSpec
         from repro.runtime.system import MomentSystem
 
         machine = machine_a()
@@ -415,7 +417,7 @@ class TestSimulatorTelemetry:
         with obs.capture():
             obs.add("pre.existing", 99.0)  # outside the run scope
             result = MomentSystem(machine).run(
-                dataset, num_gpus=2, num_ssds=2, sample_batches=2
+                RunSpec(dataset=dataset, num_gpus=2, num_ssds=2, sample_batches=2)
             )
         assert result.telemetry is not None
         span_names = {s["name"] for s in result.telemetry["spans"]}
@@ -426,13 +428,14 @@ class TestSimulatorTelemetry:
         assert any(k.startswith("sim.tier_bytes") for k in counters)
 
     def test_system_result_telemetry_none_when_disabled(self):
+        from repro.runtime.spec import RunSpec
         from repro.runtime.system import MomentSystem
 
         machine = machine_a()
         dataset = tiny_dataset(num_vertices=2000, avg_degree=6,
                                batch_size=64, seed=0)
         result = MomentSystem(machine).run(
-            dataset, num_gpus=2, num_ssds=2, sample_batches=2
+            RunSpec(dataset=dataset, num_gpus=2, num_ssds=2, sample_batches=2)
         )
         assert result.telemetry is None
 

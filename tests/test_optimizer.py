@@ -4,8 +4,7 @@ multicommodity predictor."""
 import numpy as np
 import pytest
 
-from repro.core.ddak import GPU_REPLICATED
-from repro.core.flowmodel import TrafficDemand, min_completion_time
+from repro.core.flowmodel import TrafficDemand
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import (
     MomentOptimizer,
@@ -19,6 +18,7 @@ from repro.core.placement import GPU, Placement, SSD
 from repro.graphs.datasets import IGB_HOM, tiny_dataset
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.utils.units import GB
+from tests.reference.flowmodel import min_completion_time
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +172,10 @@ class TestOptimizer:
         assert plan.placement.num_ssds == 4
         assert plan.num_candidates >= plan.num_unique >= 1
         assert plan.predicted_throughput > 0
-        assert plan.data_placement is not None
-        plan.data_placement.validate(4096)
-        assert GPU_REPLICATED in [b.name for b in plan.data_placement.bins]
+        # the plan carries the DDAK traffic targets, not a placement:
+        # data is placed once, by the run that simulates the plan
+        assert not hasattr(plan, "data_placement")
+        assert plan.prediction.storage_rate
 
     def test_scored_sorted_desc(self, plan):
         scores = [s.throughput for s in plan.scored]

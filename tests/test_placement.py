@@ -9,11 +9,11 @@ from repro.core.placement import (
     SSD,
     SlotGroup,
     build_topology,
-    enumerate_placements,
 )
 from repro.core.topology import NodeKind
 from repro.hardware.specs import A100_40GB, P5510, PCIE4_X16, PCIE4_X4, QPI_BW
 from repro.core.topology import LinkKind
+from tests.reference.placement import enumerate_placements
 
 
 def mini_chassis() -> Chassis:

@@ -1,5 +1,5 @@
-"""Tests for the unified RunSpec API, the deprecation shim, and
-serializable run records."""
+"""Tests for the RunSpec-only run entry point and serializable run
+records."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 from repro import RunSpec, run
 from repro.api import run as api_run
 from repro.faults import FaultSchedule
+from repro.baselines.distdgl import DistDglSystem
 from repro.baselines.mgids import MGidsSystem
 from repro.graphs.datasets import IGB_HOM, UK_2014
 from repro.hardware.machines import classic_layouts, machine_a
@@ -90,14 +91,11 @@ class TestRunSpec:
 
 
 class TestShim:
-    def test_deprecated_kwargs_warn_and_match(self, machine, spec, result):
-        with pytest.warns(DeprecationWarning):
-            legacy = MomentSystem(machine).run(
-                spec.dataset, placement=spec.placement, sample_batches=3
-            )
-        assert legacy.epoch.epoch_seconds == result.epoch.epoch_seconds
-        assert legacy.epoch.seeds_per_s == result.epoch.seeds_per_s
-        assert legacy.epoch.step_seconds == result.epoch.step_seconds
+    def test_loose_dataset_rejected(self, machine, ig):
+        with pytest.raises(TypeError, match="RunSpec"):
+            MomentSystem(machine).run(ig)
+        with pytest.raises(TypeError, match="RunSpec"):
+            DistDglSystem().run(ig)
 
     def test_spec_plus_kwargs_rejected(self, machine, spec):
         with pytest.raises(TypeError):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 
 from repro.core.flowbatch import fast_min_completion_time
-from repro.core.flowmodel import min_completion_time
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
@@ -28,7 +27,6 @@ from repro.core.placement import (
     Chassis,
     SlotGroup,
     count_placements,
-    enumerate_placements,
     iter_placements,
 )
 from repro.core.search import (
@@ -50,9 +48,6 @@ from repro.core.search import (
     set_default_workers,
 )
 from repro.core.symmetry import (
-    CanonicalFilter,
-    canonical_key,
-    dedupe_placements,
     iter_canonical_placements,
     slot_group_symmetries,
 )
@@ -61,6 +56,13 @@ from repro.graphs.datasets import IGB_HOM
 from repro.hardware.fabric import compile_fabric
 from repro.hardware.generate import generate_fabric
 from repro.hardware.machines import machine_a, machine_b
+from tests.reference.flowmodel import min_completion_time
+from tests.reference.placement import enumerate_placements
+from tests.reference.symmetry import (
+    CanonicalFilter,
+    canonical_key,
+    dedupe_placements,
+)
 
 FRACTIONS = (0.35, 0.15, 0.5)
 LP_TOP_K = 12

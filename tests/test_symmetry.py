@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.placement import GPU, Placement, SSD, enumerate_placements
-from repro.core.symmetry import (
-    chassis_automorphisms,
-    canonical_key,
-    dedupe_placements,
-    slot_group_symmetries,
-)
+from repro.core.placement import GPU, Placement, SSD
+from repro.core.symmetry import chassis_automorphisms, slot_group_symmetries
 from repro.hardware.machines import machine_a, machine_b
+from tests.reference.placement import enumerate_placements
+from tests.reference.symmetry import canonical_key, dedupe_placements
 
 
 class TestAutomorphisms:
