@@ -35,7 +35,7 @@ from repro.runtime.system import MomentSystem, SystemResult
 from repro.api import run
 from repro.warehouse import RunTable
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Chassis",

@@ -212,7 +212,7 @@ class MultiNodeMoment:
             dataset = dataset.dataset
         # 1. per-node hardware placement via the shared search engine.
         # Each node issues one SearchRequest (via MomentOptimizer.search,
-        # so worker/pruning knobs apply per node); DDAK is *not* run per
+        # so the worker count applies per node); DDAK is *not* run per
         # node — step 2 places data once, globally.
         builder = ClusterBuilder(nic_bw=self.nic_bw)
         node_throughput: Dict[str, float] = {}

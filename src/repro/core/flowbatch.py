@@ -412,19 +412,18 @@ def fast_min_completion_time(
 def fast_score_batch(
     jobs: Sequence[Tuple[Topology, TrafficDemand]],
     warm_partition: Optional[Iterable[str]] = None,
-    chain: bool = True,
 ) -> Tuple[List[Optional[FlowPrediction]], int]:
     """Score a batch of (topology, demand) candidates in lockstep.
 
     The first candidate is solved alone (seeded by ``warm_partition``
-    when given); with ``chain`` on, its binding cut becomes the warm
-    hint for every other candidate in the batch — enumeration-adjacent
-    placements share most of their fabric, so the hint's root usually
-    lands in the binding segment and the rest of the batch converges in
-    one or two rounds.  Each lockstep round refreshes every still-active
-    candidate's capacity vector from the stacked ``(B, E)`` rate/base
-    matrices in a single NumPy operation, then advances each active
-    candidate's max flow one probe.
+    when given); its binding cut becomes the warm hint for every other
+    candidate in the batch — enumeration-adjacent placements share most
+    of their fabric, so the hint's root usually lands in the binding
+    segment and the rest of the batch converges in one or two rounds.
+    Each lockstep round refreshes every still-active candidate's
+    capacity vector from the stacked ``(B, E)`` rate/base matrices in a
+    single NumPy operation, then advances each active candidate's max
+    flow one probe.
 
     Returns ``(predictions, warm_starts)`` where ``warm_starts`` counts
     candidates whose search actually started from a warm (non-zero)
@@ -456,9 +455,7 @@ def fast_score_batch(
     rest = live[1:]
     if not rest:
         return predictions, warm_starts
-    hint_partition = (
-        predictions[head].cut_partition if chain else warm_partition
-    ) or warm_partition
+    hint_partition = predictions[head].cut_partition or warm_partition
 
     # stacked capacity matrices for the rest of the batch (ragged edge
     # counts are padded; padding columns never enter a solve)

@@ -7,9 +7,11 @@ Pipeline, run once per (machine, device pool, dataset):
    capacity gives the fraction of feature traffic each tier serves;
 3. **Enumerate** — all slot-feasible hardware placements, pruned by
    chassis-symmetry canonicalisation;
-4. **Score** — each candidate topology gets the time-bisection max-flow
-   treatment on a demand built from the tier fractions (per-GPU demand
-   is even: data-parallel training); highest predicted throughput wins;
+4. **Score** — each candidate topology gets the time-search max-flow
+   score on a demand built from the tier fractions (per-GPU demand is
+   even: data-parallel training); the best ``lp_top_k`` are re-scored
+   by the multicommodity LP and the highest LP throughput wins
+   (:mod:`repro.core.search`);
 5. **DDAK** — the winner's per-storage-node optimal flows
    (:attr:`MomentPlan.prediction`'s ``storage_rate``) become the
    ``Bin_traffic`` targets for the data-distribution-aware knapsack.
@@ -174,7 +176,7 @@ class MomentPlan:
     #: Pass-2 multicommodity prediction for the winner.
     mcf: Optional["McfPrediction"] = None
 
-    #: Full engine result (stage counts, pruning/cache statistics).
+    #: Full engine result (stage counts, cache statistics).
     search: Optional[SearchResult] = None
 
     @property
@@ -208,7 +210,6 @@ class MomentPlan:
             lines.append(
                 f"  search engine: workers={self.search.workers}, "
                 f"{self.search.num_lp_scored} LP-scored, "
-                f"{self.search.pruned_by_bound} pruned by bound, "
                 f"topology cache {self.search.cache_hits} hits"
             )
         return "\n".join(lines)
@@ -227,7 +228,6 @@ class OptimizerConfig:
     #: "partitioned" (per-GPU content, peer reads over the fabric).
     gpu_cache_policy: str = "replicated"
     fanouts: Tuple[int, ...] = (25, 10)
-    score_rel_tol: float = 1e-3
     #: Keep at most this many top candidates in the report.
     report_top_k: int = 10
     #: Run the exact multicommodity LP only on this many of the best
@@ -238,9 +238,6 @@ class OptimizerConfig:
     #: Placement-scoring processes; None = the engine default
     #: (``REPRO_SEARCH_WORKERS`` env / ``--search-workers`` CLI, else 1).
     search_workers: Optional[int] = None
-    #: Skip LPs that provably cannot beat the current top-k floor;
-    #: None = the engine default (``REPRO_SEARCH_PRUNE`` env, else on).
-    prune_bounds: Optional[bool] = None
 
 
 class MomentOptimizer:
@@ -283,37 +280,6 @@ class MomentOptimizer:
         level = float(nonzero.min()) if nonzero.size else 1.0
         return counts + 0.01 * level * proxy / proxy.mean()
 
-    def score_placement(
-        self,
-        placement: Placement,
-        fractions: Tuple[float, float, float],
-    ) -> ScoredPlacement:
-        """Two-pass time-bisection max-flow score of one candidate.
-
-        Pass 1 uses flexible class demands: the solver decides how much
-        traffic each drive/bank should ideally serve (these weights are
-        what DDAK will realise via data placement).  Pass 2 re-scores
-        with each bin's share fanned out *evenly across GPUs* — the
-        dataset is shared, so every GPU reads from every bin; a
-        placement only scores well if that all-to-all pattern fits its
-        fabric.  Pass 2's throughput ranks candidates.
-        """
-        from repro.core.search import FlexibleMaxFlowScorer, MulticommodityScorer
-
-        cfg = self.config
-        coarse = FlexibleMaxFlowScorer(
-            fractions=fractions,
-            gpu_cache_policy=cfg.gpu_cache_policy,
-            rel_tol=cfg.score_rel_tol,
-        )
-        exact = MulticommodityScorer(
-            fractions=fractions, gpu_cache_policy=cfg.gpu_cache_policy
-        )
-        topo = self.machine.build(placement, nvlink_pairs=cfg.nvlink_pairs)
-        pass1 = coarse.score(topo, placement)
-        pass2 = exact.score(topo, placement, pass1)
-        return ScoredPlacement(placement, pass2.throughput, pass1, pass2)
-
     def plan_fractions(
         self, dataset: ScaledDataset, hotness: np.ndarray
     ) -> Tuple[Tuple[float, float, float], CapacityPlan]:
@@ -350,11 +316,9 @@ class MomentOptimizer:
             fractions=fractions,
             gpu_cache_policy=cfg.gpu_cache_policy,
             nvlink_pairs=cfg.nvlink_pairs,
-            score_rel_tol=cfg.score_rel_tol,
             lp_top_k=max(1, cfg.lp_top_k),
             top_k=max(1, cfg.report_top_k),
             workers=cfg.search_workers,
-            prune_bounds=cfg.prune_bounds,
             candidates=tuple(candidates) if candidates is not None else None,
         )
 

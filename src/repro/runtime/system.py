@@ -66,7 +66,7 @@ class SystemResult:
     plan: Optional[MomentPlan] = None
     placement: Optional[Placement] = None
     data_placement: Optional[DataPlacement] = None
-    #: Placement-search outcome (candidate/prune/cache counts) when the
+    #: Placement-search outcome (candidate/LP/cache counts) when the
     #: system ran the search engine (None for fixed-layout baselines).
     search: Optional[SearchResult] = None
     #: Spans + metric deltas recorded during this run (None when

@@ -6,9 +6,10 @@ request's dataset and machine, runs the Moment optimizer through
 ``MomentSystem.choose_placement`` (``simulate=False``, plan only), and
 returns the JSON-ready payload the cache stores and the HTTP layer
 ships.  The solve rides the existing :mod:`repro.core.search` engine,
-so ``REPRO_SEARCH_WORKERS`` / ``--search-workers`` fan each LP scoring
-pass onto the engine's :class:`~repro.core.search.ParallelExecutor`
-process pool exactly as offline runs do.
+so the server's ``REPRO_SEARCH_WORKERS`` environment variable fans
+each solve's scoring passes onto the engine's
+:class:`~repro.core.search.ParallelExecutor` process pool exactly as
+offline runs do (``repro.serve`` has no command-line flag for it).
 
 Machines and built datasets are memoized process-wide (both are
 immutable once built): machine resolution keys on the registry name or
@@ -131,7 +132,6 @@ def _plan_payload(plan) -> Optional[Dict]:
         payload["search"] = {
             "workers": int(s.workers),
             "num_lp_scored": int(s.num_lp_scored),
-            "pruned_by_bound": int(s.pruned_by_bound),
             "cache_hits": int(s.cache_hits),
         }
     return payload

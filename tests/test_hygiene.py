@@ -5,11 +5,14 @@ under ``src/repro`` that contains (or once contained) Python modules but
 no ``__init__.py``.  Such a directory still imports on machines where an
 old ``__pycache__`` survives, then breaks everywhere else.
 
-Also pins the public surface: every exported name resolves, and the
-test oracles under ``tests/reference`` stay out of the package.
+Also pins the public surface: every exported name resolves, the test
+oracles under ``tests/reference`` stay out of the package, and the
+placement search keeps the worker count as its only setting.
 """
 
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,60 @@ def test_oracles_live_only_under_tests():
         if "tests.reference" in py.read_text()
     ]
     assert not leaks, f"package modules importing test oracles: {leaks}"
+
+
+#: The only ``REPRO_SEARCH_*`` variable the package may read.
+SEARCH_ENV = {"REPRO_SEARCH_WORKERS"}
+
+#: Field sets of the search's two configuration types.  Adding a field
+#: means adding a switch to the placement search: edit this list only
+#: with a reason the search needs a second setting besides the worker
+#: count.
+SEARCH_REQUEST_FIELDS = (
+    "machine",
+    "num_gpus",
+    "num_ssds",
+    "fractions",
+    "gpu_cache_policy",
+    "nvlink_pairs",
+    "lp_top_k",
+    "top_k",
+    "workers",
+    "candidates",
+    "mask",
+    "warm_cut",
+)
+OPTIMIZER_CONFIG_FIELDS = (
+    "gpu_cache_fraction",
+    "cpu_cache_vertex_fraction",
+    "ddak_pool_size",
+    "presample_batches",
+    "gpu_cache_policy",
+    "fanouts",
+    "report_top_k",
+    "lp_top_k",
+    "nvlink_pairs",
+    "seed",
+    "search_workers",
+)
+
+
+def test_search_reads_only_the_workers_variable():
+    read = {}
+    for py in SRC.rglob("*.py"):
+        for name in re.findall(r"REPRO_SEARCH_[A-Z_]+", py.read_text()):
+            read.setdefault(name, set()).add(str(py.relative_to(SRC.parent)))
+    extra = {name: paths for name, paths in read.items() if name not in SEARCH_ENV}
+    assert not extra, f"package reads search variables besides workers: {extra}"
+
+
+@pytest.mark.parametrize(
+    "module_name,cls_name,expected",
+    [
+        ("repro.core.search", "SearchRequest", SEARCH_REQUEST_FIELDS),
+        ("repro.core.optimizer", "OptimizerConfig", OPTIMIZER_CONFIG_FIELDS),
+    ],
+)
+def test_search_config_fields_are_pinned(module_name, cls_name, expected):
+    cls = getattr(importlib.import_module(module_name), cls_name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == expected
